@@ -50,9 +50,7 @@
 //! tracing on or off). Markdown goes to stdout; JSON artifacts go to
 //! `results/`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use everyware::{mean, run_sc98, Sc98Config, Sc98Report, JUDGING_END_S, JUDGING_START_S};
 use ew_bench::experiments::{
@@ -691,29 +689,9 @@ fn bench_farm(opts: &Options) {
 }
 
 /// Counting allocator so `bench-kernel` can report *measured* steady-state
-/// allocation counts rather than asserting them by construction. The
-/// count is global to the process; each probe reads it before and after a
-/// timed loop on this thread with no other work running.
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
+/// allocation counts rather than asserting them by construction.
 #[global_allocator]
-static GLOBAL_ALLOC: CountingAlloc = CountingAlloc;
+static GLOBAL_ALLOC: ew_sim::CountingAlloc = ew_sim::CountingAlloc;
 
 /// FNV-1a over a byte stream — the trajectory fingerprint primitive.
 fn fnv64(h: u64, bytes: &[u8]) -> u64 {
@@ -756,12 +734,12 @@ fn kernel_trajectory(
     (moves_fp, graph_fp, st.count(), secs)
 }
 
-/// Allocations observed across `f` on this thread (process-global counter,
-/// so the probe is only meaningful while nothing else runs).
+/// Allocations `f` makes on the calling thread. Work `f` hands to other
+/// threads (a sim farm at `--threads` > 1) is not counted.
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = ew_sim::thread_allocs();
     let r = f();
-    (r, ALLOC_CALLS.load(Ordering::Relaxed) - before)
+    (r, ew_sim::thread_allocs() - before)
 }
 
 fn bench_kernel(opts: &Options) {
@@ -1938,6 +1916,13 @@ fn bench_gate(opts: &Options) {
 
     let cfg = MegaConfig::short(opts.seed, NetworkModel::Flow);
     let (out, mega_allocs) = count_allocs(|| run_mega(&cfg, opts.threads));
+    // The count is per thread, so it covers the run only when the farm
+    // runs inline on this thread.
+    let mega_allocs = if opts.threads == 1 {
+        mega_allocs.to_string()
+    } else {
+        "-".to_string()
+    };
     let events = out.total(|s| s.events);
     let kernel_eps = events as f64 / (out.stats.wall_ms / 1e3);
 

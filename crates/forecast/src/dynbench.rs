@@ -11,24 +11,26 @@
 //! events. `begin`/`end` bracket one timed occurrence; the measured
 //! duration feeds the key's [`ForecasterSet`].
 
-use std::collections::HashMap;
 use std::hash::Hash;
 
-use ew_sim::{SimDuration, SimTime};
+use ew_sim::{FxHashMap, SimDuration, SimTime};
 
 use crate::selector::{Forecast, ForecasterSet};
 
 /// Registry of timed-event forecast streams keyed by `K`.
+///
+/// Keys are the program's own event identifiers and neither map is ever
+/// iterated, so the (fixed, fast) hasher cannot affect behavior.
 pub struct DynamicBenchmark<K: Hash + Eq + Clone> {
-    streams: HashMap<K, ForecasterSet>,
-    open: HashMap<(K, u64), SimTime>,
+    streams: FxHashMap<K, ForecasterSet>,
+    open: FxHashMap<(K, u64), SimTime>,
 }
 
 impl<K: Hash + Eq + Clone> Default for DynamicBenchmark<K> {
     fn default() -> Self {
         DynamicBenchmark {
-            streams: HashMap::new(),
-            open: HashMap::new(),
+            streams: FxHashMap::default(),
+            open: FxHashMap::default(),
         }
     }
 }
@@ -69,7 +71,7 @@ impl<K: Hash + Eq + Clone> DynamicBenchmark<K> {
     }
 
     /// Forecast the next value for `key`.
-    pub fn forecast(&self, key: &K) -> Option<Forecast> {
+    pub fn forecast(&self, key: &K) -> Option<Forecast<'_>> {
         self.streams.get(key)?.predict()
     }
 

@@ -6,7 +6,9 @@
 //! subsystem as EveryWare adapted it:
 //!
 //! * [`methods`] — the battery of lightweight one-step-ahead predictors;
-//! * [`selector`] — MAE/MSE-ranked dynamic selection across the battery;
+//! * [`selector`] — MAE/MSE-ranked dynamic selection across the battery,
+//!   which runs the standard battery as one fused, allocation-free state
+//!   whose predictions are bit-identical to the individual methods';
 //! * [`dynbench`] — *dynamic benchmarking*: tagging and timing arbitrary
 //!   repetitive program events and feeding the timings to forecasters;
 //! * [`timeout`] — dynamic time-out discovery for the lingua franca, the
@@ -14,6 +16,7 @@
 
 #![warn(missing_docs)]
 
+mod battery;
 pub mod dynbench;
 pub mod methods;
 pub mod selector;

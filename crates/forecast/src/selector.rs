@@ -8,7 +8,8 @@
 //! wins through smooth drift — which is what made one mechanism serviceable
 //! for CPU, network, and (in EveryWare) arbitrary program events.
 
-use crate::methods::{standard_battery, Forecaster};
+use crate::battery::{StandardBattery, NAMES};
+use crate::methods::Forecaster;
 
 /// Error metric used to rank methods.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -19,8 +20,9 @@ pub enum ErrorMetric {
     Mse,
 }
 
-struct Entry {
-    method: Box<dyn Forecaster>,
+/// One method's accumulated forecast error.
+#[derive(Clone, Copy, Default)]
+struct Score {
     /// Sum of absolute / squared errors and the count scored.
     abs_err: f64,
     sq_err: f64,
@@ -29,22 +31,67 @@ struct Entry {
 
 /// A forecast and its provenance.
 #[derive(Clone, Debug)]
-pub struct Forecast {
+pub struct Forecast<'a> {
     /// Predicted next value.
     pub value: f64,
-    /// Name of the winning method.
-    pub method: String,
+    /// Name of the winning method (borrowed from the battery, so a
+    /// forecast costs no allocation).
+    pub method: &'a str,
     /// The winner's mean absolute error so far (`None` until scored once).
     pub mae: Option<f64>,
     /// The winner's root-mean-squared error so far.
     pub rmse: Option<f64>,
 }
 
+/// The methods a set runs. Both kinds expose their predictions as one
+/// slice, so scoring and selection are the same code for each.
+enum Battery {
+    /// The standard battery, fused into one state.
+    Standard(Box<StandardBattery>),
+    /// A caller-supplied battery, with each method's prediction cached
+    /// after every update.
+    Custom {
+        methods: Vec<Box<dyn Forecaster>>,
+        preds: Vec<Option<f64>>,
+    },
+}
+
+impl Battery {
+    fn preds(&self) -> &[Option<f64>] {
+        match self {
+            Battery::Standard(b) => b.preds(),
+            Battery::Custom { preds, .. } => preds,
+        }
+    }
+
+    fn update(&mut self, value: f64) {
+        match self {
+            Battery::Standard(b) => b.update(value),
+            Battery::Custom { methods, preds } => {
+                for (m, p) in methods.iter_mut().zip(preds.iter_mut()) {
+                    m.update(value);
+                    *p = m.predict();
+                }
+            }
+        }
+    }
+
+    fn name(&self, i: usize) -> &str {
+        match self {
+            Battery::Standard(_) => NAMES[i],
+            Battery::Custom { methods, .. } => methods[i].name(),
+        }
+    }
+}
+
 /// A battery of forecasters with error-ranked selection for one stream.
 pub struct ForecasterSet {
-    entries: Vec<Entry>,
+    battery: Battery,
+    scores: Box<[Score]>,
     metric: ErrorMetric,
     n: u64,
+    /// The method that makes the next forecast, chosen at each update.
+    best: Option<usize>,
 }
 
 impl Default for ForecasterSet {
@@ -56,40 +103,47 @@ impl Default for ForecasterSet {
 impl ForecasterSet {
     /// The standard 17-method battery ranked by MAE.
     pub fn standard() -> Self {
-        Self::new(standard_battery(), ErrorMetric::Mae)
+        Self::with_battery(
+            Battery::Standard(Box::new(StandardBattery::new())),
+            ErrorMetric::Mae,
+        )
     }
 
     /// A custom battery.
     pub fn new(methods: Vec<Box<dyn Forecaster>>, metric: ErrorMetric) -> Self {
         assert!(!methods.is_empty());
-        ForecasterSet {
-            entries: methods
-                .into_iter()
-                .map(|m| Entry {
-                    method: m,
-                    abs_err: 0.0,
-                    sq_err: 0.0,
-                    scored: 0,
-                })
-                .collect(),
+        let preds = methods.iter().map(|m| m.predict()).collect();
+        Self::with_battery(Battery::Custom { methods, preds }, metric)
+    }
+
+    fn with_battery(battery: Battery, metric: ErrorMetric) -> Self {
+        let scores = vec![Score::default(); battery.preds().len()].into_boxed_slice();
+        let mut set = ForecasterSet {
+            battery,
+            scores,
             metric,
             n: 0,
-        }
+            best: None,
+        };
+        set.best = set.select();
+        set
     }
 
     /// Feed one measurement: score every method's outstanding prediction
-    /// against it, then let every method absorb it.
+    /// against it, let every method absorb it, and choose the method that
+    /// makes the next forecast.
     pub fn update(&mut self, value: f64) {
-        for e in &mut self.entries {
-            if let Some(pred) = e.method.predict() {
+        for (e, pred) in self.scores.iter_mut().zip(self.battery.preds()) {
+            if let Some(pred) = *pred {
                 let err = pred - value;
                 e.abs_err += err.abs();
                 e.sq_err += err * err;
                 e.scored += 1;
             }
-            e.method.update(value);
         }
+        self.battery.update(value);
         self.n += 1;
+        self.best = self.select();
     }
 
     /// Number of measurements absorbed.
@@ -97,7 +151,7 @@ impl ForecasterSet {
         self.n
     }
 
-    fn score(&self, e: &Entry) -> f64 {
+    fn score(&self, e: &Score) -> f64 {
         if e.scored == 0 {
             return f64::INFINITY;
         }
@@ -107,27 +161,30 @@ impl ForecasterSet {
         }
     }
 
-    /// Forecast the next value using the best-scoring method. `None` until
-    /// at least one measurement has been absorbed.
-    pub fn predict(&self) -> Option<Forecast> {
-        let mut best: Option<(f64, &Entry, f64)> = None;
-        for e in &self.entries {
-            let Some(pred) = e.method.predict() else {
+    /// The best-scoring method that has a prediction.
+    fn select(&self) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, (pred, e)) in self.battery.preds().iter().zip(&*self.scores).enumerate() {
+            if pred.is_none() {
                 continue;
-            };
+            }
             let s = self.score(e);
             // Ties break toward the earlier battery entry (deterministic).
-            let better = match &best {
-                None => true,
-                Some((_, _, bs)) => s < *bs,
-            };
-            if better {
-                best = Some((pred, e, s));
+            if best.is_none_or(|(_, bs)| s < bs) {
+                best = Some((i, s));
             }
         }
-        best.map(|(value, e, _)| Forecast {
-            value,
-            method: e.method.name().to_string(),
+        best.map(|(i, _)| i)
+    }
+
+    /// Forecast the next value using the best-scoring method. `None` until
+    /// at least one measurement has been absorbed.
+    pub fn predict(&self) -> Option<Forecast<'_>> {
+        let i = self.best?;
+        let e = &self.scores[i];
+        Some(Forecast {
+            value: self.battery.preds()[i].expect("the selected method predicts"),
+            method: self.battery.name(i),
             mae: (e.scored > 0).then(|| e.abs_err / e.scored as f64),
             rmse: (e.scored > 0).then(|| (e.sq_err / e.scored as f64).sqrt()),
         })
@@ -137,9 +194,10 @@ impl ForecasterSet {
     /// Methods never scored report `f64::INFINITY`.
     pub fn leaderboard(&self) -> Vec<(String, f64)> {
         let mut rows: Vec<(String, f64)> = self
-            .entries
+            .scores
             .iter()
-            .map(|e| (e.method.name().to_string(), self.score(e)))
+            .enumerate()
+            .map(|(i, e)| (self.battery.name(i).to_string(), self.score(e)))
             .collect();
         rows.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
         rows

@@ -293,7 +293,7 @@ impl NwsServer {
     }
 
     /// Driver-side forecast access (components use [`nm::QUERY`]).
-    pub fn forecast(&self, resource: &str) -> Option<crate::selector::Forecast> {
+    pub fn forecast(&self, resource: &str) -> Option<crate::selector::Forecast<'_>> {
         self.streams.forecast(&resource.to_string())
     }
 
@@ -333,7 +333,7 @@ impl Process for NwsServer {
                         Some(f) => NwsForecastReply {
                             found: true,
                             value: f.value,
-                            method: f.method,
+                            method: f.method.to_string(),
                         },
                         None => NwsForecastReply {
                             found: false,
@@ -418,15 +418,11 @@ mod tests {
         assert_eq!(lost, 0, "calm network loses nothing");
         let resource = format!("rtt.{}.{}", sensors[0].0, sensors[1].0);
         let f = sim
-            .with_process::<NwsServer, _>(server, |s| s.forecast(&resource))
+            .with_process::<NwsServer, _>(server, |s| s.forecast(&resource).map(|f| f.value))
             .unwrap()
             .expect("rtt stream exists");
         // Baseline one-way 10ms + 40ms plus bandwidth/jitter: RTT ≈ 0.1 s.
-        assert!(
-            (0.08..0.2).contains(&f.value),
-            "forecast RTT {} out of range",
-            f.value
-        );
+        assert!((0.08..0.2).contains(&f), "forecast RTT {f} out of range");
     }
 
     #[test]
@@ -435,13 +431,12 @@ mod tests {
         sim.run_until(SimTime::from_secs(500));
         let resource = format!("cpu.{}", sensors[0].0);
         let f = sim
-            .with_process::<NwsServer, _>(server, |s| s.forecast(&resource))
+            .with_process::<NwsServer, _>(server, |s| s.forecast(&resource).map(|f| f.value))
             .unwrap()
             .expect("cpu stream exists");
         assert!(
-            (0.5e8..1.1e8).contains(&f.value),
-            "cpu forecast {:.3e} should approximate the 1e8 host",
-            f.value
+            (0.5e8..1.1e8).contains(&f),
+            "cpu forecast {f:.3e} should approximate the 1e8 host"
         );
     }
 
@@ -451,17 +446,15 @@ mod tests {
         let resource = format!("rtt.{}.{}", sensors[0].0, sensors[1].0);
         sim.run_until(SimTime::from_secs(550));
         let calm = sim
-            .with_process::<NwsServer, _>(server, |s| s.forecast(&resource))
+            .with_process::<NwsServer, _>(server, |s| s.forecast(&resource).map(|f| f.value))
             .unwrap()
-            .expect("stream exists")
-            .value;
+            .expect("stream exists");
         // Mid-spike: site b's 0.8 load multiplies its latency 5x.
         sim.run_until(SimTime::from_secs(1150));
         let loaded = sim
-            .with_process::<NwsServer, _>(server, |s| s.forecast(&resource))
+            .with_process::<NwsServer, _>(server, |s| s.forecast(&resource).map(|f| f.value))
             .unwrap()
-            .unwrap()
-            .value;
+            .unwrap();
         assert!(
             loaded > 2.0 * calm,
             "forecast must track the spike: {calm:.3} -> {loaded:.3}"
@@ -469,10 +462,9 @@ mod tests {
         // After the spike the forecast comes back down.
         sim.run_until(SimTime::from_secs(1800));
         let recovered = sim
-            .with_process::<NwsServer, _>(server, |s| s.forecast(&resource))
+            .with_process::<NwsServer, _>(server, |s| s.forecast(&resource).map(|f| f.value))
             .unwrap()
-            .unwrap()
-            .value;
+            .unwrap();
         assert!(
             recovered < loaded / 2.0,
             "forecast must recover: {loaded:.3} -> {recovered:.3}"

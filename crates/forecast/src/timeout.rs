@@ -11,12 +11,26 @@
 //! an expiry and deflated after successes (so a transiently unreachable
 //! server is probed again rather than written off).
 
-use std::collections::HashMap;
-
 use ew_proto::{EventTag, TimeoutPolicy};
-use ew_sim::SimDuration;
+use ew_sim::{FxHashMap, SimDuration};
 
 use crate::selector::ForecasterSet;
+
+/// One `(peer, message type)` class: its RTT forecast stream and its
+/// expiry inflation (1.0 = healthy).
+struct Class {
+    rtts: ForecasterSet,
+    inflation: f64,
+}
+
+impl Default for Class {
+    fn default() -> Self {
+        Class {
+            rtts: ForecasterSet::standard(),
+            inflation: 1.0,
+        }
+    }
+}
 
 /// Forecast-driven adaptive time-outs (the §2.2 mechanism).
 pub struct ForecastTimeout {
@@ -30,8 +44,9 @@ pub struct ForecastTimeout {
     pub max: SimDuration,
     /// Multiplier applied to a class's inflation after each expiry.
     pub backoff: f64,
-    streams: HashMap<EventTag, ForecasterSet>,
-    inflation: HashMap<EventTag, f64>,
+    /// Keyed by the program's own tags and never iterated, so the hasher
+    /// cannot affect behavior.
+    classes: FxHashMap<EventTag, Class>,
 }
 
 impl ForecastTimeout {
@@ -44,26 +59,28 @@ impl ForecastTimeout {
             min: SimDuration::from_millis(250),
             max: SimDuration::from_secs(120),
             backoff: 2.0,
-            streams: HashMap::new(),
-            inflation: HashMap::new(),
+            classes: FxHashMap::default(),
         }
     }
 
     /// Current inflation factor for a class (1.0 = healthy).
     pub fn inflation(&self, tag: EventTag) -> f64 {
-        self.inflation.get(&tag).copied().unwrap_or(1.0)
+        self.classes.get(&tag).map_or(1.0, |c| c.inflation)
     }
 
     /// Number of RTT samples absorbed for a class.
     pub fn samples(&self, tag: EventTag) -> u64 {
-        self.streams.get(&tag).map_or(0, |s| s.samples())
+        self.classes.get(&tag).map_or(0, |c| c.rtts.samples())
     }
 }
 
 impl TimeoutPolicy for ForecastTimeout {
     fn timeout_for(&mut self, tag: EventTag) -> SimDuration {
-        let inflate = self.inflation(tag);
-        let base = match self.streams.get(&tag).and_then(|s| s.predict()) {
+        let (forecast, inflate) = match self.classes.get(&tag) {
+            Some(c) => (c.rtts.predict(), c.inflation),
+            None => (None, 1.0),
+        };
+        let base = match forecast {
             Some(f) => {
                 // Forecast plus a dispersion allowance: the safety factor
                 // covers forecast error, the RMSE term covers variance.
@@ -77,20 +94,17 @@ impl TimeoutPolicy for ForecastTimeout {
     }
 
     fn observe_rtt(&mut self, tag: EventTag, rtt: SimDuration) {
-        self.streams
-            .entry(tag)
-            .or_insert_with(ForecasterSet::standard)
-            .update(rtt.as_secs_f64());
+        let c = self.classes.entry(tag).or_default();
+        c.rtts.update(rtt.as_secs_f64());
         // Healthy response: decay inflation toward 1.
-        let inf = self.inflation.entry(tag).or_insert(1.0);
-        *inf = (*inf * 0.5).max(1.0);
+        c.inflation = (c.inflation * 0.5).max(1.0);
     }
 
     fn observe_timeout(&mut self, tag: EventTag) {
-        let inf = self.inflation.entry(tag).or_insert(1.0);
+        let c = self.classes.entry(tag).or_default();
         // Cap so one dead server cannot push the armed value past `max`
         // forever once it recovers.
-        *inf = (*inf * self.backoff).min(64.0);
+        c.inflation = (c.inflation * self.backoff).min(64.0);
     }
 }
 

@@ -7,36 +7,11 @@
 //! allocations — the benches measure the speedup, this pins the
 //! invariant that steady-state sends recycle instead of allocating.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
+static GLOBAL: ew_sim::CountingAlloc = ew_sim::CountingAlloc;
 
 use ew_proto::{mtype, Packet, WireEncode};
-use ew_sim::{pool_reset, pool_stats};
+use ew_sim::{pool_reset, pool_stats, thread_allocs};
 
 /// A small request body, shaped like the gossip/scheduler messages that
 /// dominate steady-state traffic.
@@ -72,7 +47,7 @@ fn steady_state_sends_take_buffers_from_the_pool() {
     }
 
     let stats_before = pool_stats();
-    let before = allocs();
+    let before = thread_allocs();
     const ROUNDS: u64 = 100;
     for i in 0..ROUNDS {
         // One simulated send: encode the body into a pooled payload,
@@ -81,7 +56,7 @@ fn steady_state_sends_take_buffers_from_the_pool() {
         let pkt = Packet::request(mtype::GOSSIP_BASE, i, body.to_wire_payload());
         std::hint::black_box(pkt.to_sim_payload());
     }
-    let after = allocs();
+    let after = thread_allocs();
     let stats_after = pool_stats();
 
     assert_eq!(

@@ -6,39 +6,14 @@
 //! heap allocations. This is the enforcement half of the "allocation-free
 //! kernels" claim — the benches measure speed, this pins the invariant.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
+static GLOBAL: ew_sim::CountingAlloc = ew_sim::CountingAlloc;
 
 use ew_ramsey::{
     count_total_ws, flip_delta_ws, ColoredGraph, DeltaTable, GreedyLocal, Heuristic, OpsCounter,
     SearchState, Workspace,
 };
-use ew_sim::Xoshiro256;
+use ew_sim::{thread_allocs, Xoshiro256};
 
 #[test]
 fn flip_delta_ws_is_allocation_free_after_warmup() {
@@ -47,14 +22,14 @@ fn flip_delta_ws_is_allocation_free_after_warmup() {
     let mut ops = OpsCounter::new();
     let mut ws = Workspace::new();
     flip_delta_ws(&g, 5, 0, 1, &mut ops, &mut ws); // size the arena
-    let before = allocs();
+    let before = thread_allocs();
     for u in 0..20usize {
         for v in (u + 1)..21 {
             std::hint::black_box(flip_delta_ws(&g, 5, u, v, &mut ops, &mut ws));
         }
     }
     assert_eq!(
-        allocs() - before,
+        thread_allocs() - before,
         0,
         "flip_delta_ws allocated in steady state"
     );
@@ -67,12 +42,12 @@ fn count_total_ws_is_allocation_free_after_warmup() {
     let mut ops = OpsCounter::new();
     let mut ws = Workspace::new();
     count_total_ws(&g, 5, &mut ops, &mut ws);
-    let before = allocs();
+    let before = thread_allocs();
     for _ in 0..5 {
         std::hint::black_box(count_total_ws(&g, 5, &mut ops, &mut ws));
     }
     assert_eq!(
-        allocs() - before,
+        thread_allocs() - before,
         0,
         "count_total_ws allocated in steady state"
     );
@@ -94,7 +69,7 @@ fn table_maintenance_is_allocation_free_after_warmup() {
         g.flip(u.min(v), u.max(v));
         table.apply_flip(&g, u.min(v), u.max(v), &mut ops, &mut ws);
     }
-    let before = allocs();
+    let before = thread_allocs();
     for i in 0..200usize {
         let (u, v) = (i % 40, (i * 13 + 3) % 40);
         if u == v {
@@ -105,7 +80,7 @@ fn table_maintenance_is_allocation_free_after_warmup() {
         std::hint::black_box(table.delta(&g, 0, 1));
     }
     assert_eq!(
-        allocs() - before,
+        thread_allocs() - before,
         0,
         "table maintenance allocated in steady state"
     );
@@ -120,12 +95,12 @@ fn greedy_steps_on_table_state_are_allocation_free_after_warmup() {
     for _ in 0..5 {
         greedy.step(&mut state, &mut rng); // warm the workspace + scratch
     }
-    let before = allocs();
+    let before = thread_allocs();
     for _ in 0..50 {
         greedy.step(&mut state, &mut rng);
     }
     assert_eq!(
-        allocs() - before,
+        thread_allocs() - before,
         0,
         "greedy steady-state steps allocated with the table enabled"
     );

@@ -120,6 +120,8 @@ pub struct SchedulerServer {
     /// defines "anomalously slow").
     baselines: HashMap<u64, f64>,
     last_seen: HashMap<u64, SimTime>,
+    /// Reused buffer for the pool median (one per grant and per report).
+    median_scratch: Vec<f64>,
     reports_since_purge: u32,
     /// Completed results received.
     pub results: Vec<WorkResult>,
@@ -159,6 +161,7 @@ impl SchedulerServer {
             estimates: HashMap::new(),
             baselines: HashMap::new(),
             last_seen: HashMap::new(),
+            median_scratch: Vec::new(),
             reports_since_purge: 0,
             results: Vec::new(),
             artifacts: Vec::new(),
@@ -237,7 +240,8 @@ impl SchedulerServer {
         // wall time as a supercomputer node, and the migration rule below
         // then fires on *anomalies* (a host suddenly slowed by load), not
         // on the pool's permanent heterogeneity.
-        let scale = match (self.rate_estimate(client), self.pool_median_rate()) {
+        let median = self.pool_median_rate();
+        let scale = match (self.rate_estimate(client), median) {
             (Some(est), Some(median)) if median > 0.0 => (est / median).clamp(0.02, 4.0),
             _ => 1.0,
         };
@@ -279,18 +283,15 @@ impl SchedulerServer {
         }
     }
 
-    fn pool_median_rate(&self) -> Option<f64> {
-        let source: Vec<f64> = if self.cfg.use_forecasts {
-            self.estimates.values().copied().collect()
+    fn pool_median_rate(&mut self) -> Option<f64> {
+        let source = if self.cfg.use_forecasts {
+            &self.estimates
         } else {
-            self.last_rate.values().copied().collect()
+            &self.last_rate
         };
-        if source.is_empty() {
-            return None;
-        }
-        let mut rates = source;
-        rates.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        Some(rates[rates.len() / 2])
+        self.median_scratch.clear();
+        self.median_scratch.extend(source.values().copied());
+        upper_median(&mut self.median_scratch)
     }
 
     /// Forget clients that have not reported recently: churned hosts never
@@ -408,6 +409,19 @@ impl SchedulerServer {
         self.workload.on_result(&result);
         self.results.push(result);
     }
+}
+
+/// `rates[len / 2]` of the ascending order (the upper median), found by
+/// selection rather than a full sort. `None` for an empty pool.
+fn upper_median(rates: &mut [f64]) -> Option<f64> {
+    if rates.is_empty() {
+        return None;
+    }
+    let mid = rates.len() / 2;
+    let (_, m, _) = rates.select_nth_unstable_by(mid, |a, b| {
+        a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
+    });
+    Some(*m)
 }
 
 impl Process for SchedulerServer {
@@ -775,5 +789,20 @@ mod tests {
         let v = s.grant_work(t(1800), 1).unwrap();
         assert_eq!(v.arg1, 0, "second grant is warm");
         assert!(v.step_budget < u.step_budget);
+    }
+
+    #[test]
+    fn upper_median_matches_the_sorted_median() {
+        let mut rng = ew_sim::Xoshiro256::seed_from_u64(11);
+        for len in 0..40 {
+            for _ in 0..20 {
+                // Few distinct values, so most pools have ties at the median.
+                let rates: Vec<f64> = (0..len).map(|_| rng.next_below(5) as f64 * 0.5).collect();
+                let mut sorted = rates.clone();
+                sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+                let want = sorted.get(sorted.len() / 2).copied();
+                assert_eq!(upper_median(&mut rates.clone()), want, "{rates:?}");
+            }
+        }
     }
 }

@@ -25,6 +25,7 @@
 
 #![warn(missing_docs)]
 
+pub mod alloc_count;
 pub mod farm;
 pub mod hashers;
 pub mod host;
@@ -36,6 +37,7 @@ pub mod time;
 pub mod trace;
 pub mod wheel;
 
+pub use alloc_count::{thread_allocs, CountingAlloc};
 pub use ew_telemetry::{
     CounterId, GaugeId, Histogram, HistogramId, HistogramSummary, Registry, SeriesId, Snapshot,
     SpanId, SubsystemHealth,
